@@ -413,40 +413,66 @@ void BM_TupleAccessDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleAccessDirect);
 
+/// One heap of 1000 128-d rows behind one buffer pool, shared by every
+/// thread of BM_TupleAccessBufferManager.
+struct TupleAccessFixture {
+  static constexpr size_t kDim = 128;
+  static constexpr size_t kRows = 1000;
+  pgstub::StorageManager smgr;
+  pgstub::BufferManager bufmgr;
+  pgstub::HeapTable table;
+  std::vector<pgstub::TupleId> tids;
+
+  explicit TupleAccessFixture(pgstub::StorageManager storage)
+      : smgr(std::move(storage)),
+        bufmgr(&smgr, 4096),
+        table(std::move(pgstub::HeapTable::Create(
+                            &bufmgr, &smgr, "t",
+                            static_cast<uint32_t>(kDim)))
+                  .ValueOrDie()) {
+    auto data = RandomVectors(kRows, kDim, 7);
+    for (size_t i = 0; i < kRows; ++i) {
+      tids.push_back(std::move(table.Insert(static_cast<int64_t>(i),
+                                            data.data() + i * kDim))
+                         .ValueOrDie());
+    }
+  }
+};
+
 void BM_TupleAccessBufferManager(benchmark::State& state) {
   // RC#2 defect: Pin -> line pointer -> copy -> Unpin per access, even
-  // with a 100% buffer hit rate.
-  const size_t d = 128, n = 1000;
-  auto data = RandomVectors(n, d, 7);
-  auto query = RandomVectors(1, d, 8);
-  const std::string dir = "/tmp/vecdb_micro_tuple";
-  const std::string cmd = "rm -rf " + dir;
-  if (std::system(cmd.c_str()) != 0) state.SkipWithError("cleanup failed");
-  auto smgr = std::move(pgstub::StorageManager::Open(dir, 8192)).ValueOrDie();
-  pgstub::BufferManager bufmgr(&smgr, 4096);
-  auto table = std::move(pgstub::HeapTable::Create(&bufmgr, &smgr, "t",
-                                                   static_cast<uint32_t>(d)))
-                   .ValueOrDie();
-  std::vector<pgstub::TupleId> tids;
-  for (size_t i = 0; i < n; ++i) {
-    tids.push_back(
-        std::move(table.Insert(static_cast<int64_t>(i), data.data() + i * d))
-            .ValueOrDie());
+  // with a 100% buffer hit rate. The threads:3 run shares one pool, so its
+  // per-thread time against threads:1 shows what the pin path serializes.
+  using Fixture = TupleAccessFixture;
+  static std::unique_ptr<Fixture> fixture;
+  if (state.thread_index() == 0) {
+    const std::string dir = "/tmp/vecdb_micro_tuple";
+    const std::string cmd = "rm -rf " + dir;
+    if (std::system(cmd.c_str()) != 0) state.SkipWithError("cleanup failed");
+    fixture = std::make_unique<Fixture>(
+        std::move(pgstub::StorageManager::Open(dir, 8192)).ValueOrDie());
   }
-  std::vector<float> vec(d);
-  size_t i = 0;
+  auto query = RandomVectors(1, Fixture::kDim, 8);
+  std::vector<float> vec(Fixture::kDim);
+  size_t i = static_cast<size_t>(state.thread_index()) * 331;
+  // The loop's start is a barrier across threads, so the fixture is built
+  // before any thread reads it.
   for (auto _ : state) {
     int64_t row_id;
-    if (!table.Read(tids[i % n], &row_id, vec.data()).ok()) {
+    if (!fixture->table.Read(fixture->tids[i % Fixture::kRows], &row_id,
+                             vec.data())
+             .ok()) {
       state.SkipWithError("read failed");
       break;
     }
-    benchmark::DoNotOptimize(L2Sqr(query.data(), vec.data(), d));
+    benchmark::DoNotOptimize(L2Sqr(query.data(), vec.data(), Fixture::kDim));
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
+  // The loop's end is a barrier too: every thread is done with the fixture.
+  if (state.thread_index() == 0) fixture.reset();
 }
-BENCHMARK(BM_TupleAccessBufferManager);
+BENCHMARK(BM_TupleAccessBufferManager)->Threads(1)->Threads(3);
 
 void BM_HeapInsertNoWal(benchmark::State& state) {
   // Relational insert path without durability logging.

@@ -13,9 +13,13 @@
 #                       suite under TSan (snapshot readers vs writers)
 #   server              the networked front end: frame-decoder fuzz and
 #                       the loopback e2e/cancellation suite under ASan,
-#                       the connection-churn stress suite under TSan, and
-#                       the wire-overhead bench artifact (BENCH_server.json)
-#                       from the Release tree
+#                       and the connection-churn stress suite under TSan
+#   buffer pool         the concurrent pin/evict/flush stress test under
+#                       TSan (hits take no pool-wide lock, so the atomic
+#                       frame-state protocol is what the race detector
+#                       checks)
+#   perfbench           python3 perfbench/selftest.py: the end-to-end
+#                       benchmark's tiny-scale self-test
 #   kernels             the kernel/SQ8 dispatch suites re-run with
 #                       VECDB_KERNEL_ISA=scalar (proving the override and
 #                       the scalar tier), and again under ASan/UBSan per
@@ -164,6 +168,16 @@ echo "=== build-tsan: multi-session stress (session_test) ==="
 echo "=== build-tsan: server connection-churn stress (net_server_test) ==="
 ./build-tsan/tests/net_server_test --gtest_filter='ServerStressTest.*'
 
+# Buffer pool under the race detector: 8 pinners race hits, misses,
+# evictions and re-reads of one page through a pool smaller than the
+# working set, while FlushAll, stats() and CheckInvariants() run beside
+# them. Hits and unpins take no pool-wide lock — only a partition's shared
+# lock and a CAS on the frame's state word — so TSan is what proves that
+# protocol orders page bytes, dirty flags and write-back.
+echo "=== build-tsan: concurrent buffer-pool stress (bufmgr_test) ==="
+./build-tsan/tests/bufmgr_test \
+  --gtest_filter='BufMgrTest.Concurrent*'
+
 # Static lock discipline: compile everything under clang with Thread
 # Safety Analysis promoted to errors. The tsa_probe ctest entries (and the
 # configure-time try_compile probes) prove the gate actually rejects
@@ -190,11 +204,11 @@ else
   echo "NOTICE: (install clang-tidy to enforce it)."
 fi
 
-# Networked front end, part 3: the wire-overhead/throughput artifact from
-# the optimized tree — BENCH_server.json records loopback-vs-inproc
-# statement latency and multi-client scaling for CI trend lines.
-echo "=== build-release: server overhead bench (ext_server) ==="
-./build-release/bench/ext_server BENCH_server.json
+# End-to-end benchmark self-test: builds perfbench/ with src/ into
+# .bench_build/ and runs every workload at a tiny scale, checking the
+# report's shape and its correctness counters (about two minutes).
+echo "=== perfbench: self-test (perfbench/selftest.py) ==="
+python3 perfbench/selftest.py
 
 echo "=== lint (standalone) ==="
 python3 tools/lint.py .

@@ -1,7 +1,8 @@
 #include "sql/parser.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 
 #include "sql/lexer.h"
 
@@ -415,6 +416,58 @@ Result<Statement> ParseDrop(Cursor& cur) {
   return out;
 }
 
+/// strtof's result for a number from_chars rejects as out of float range:
+/// HUGE_VALF on overflow, 0 on underflow (the caller applies the sign).
+float OutOfRangeValue(const char* first, const char* last,
+                      std::chars_format fmt) {
+  double wide = 0;
+  if (std::from_chars(first, last, wide, fmt).ec == std::errc()) {
+    return std::fabs(wide) > 1 ? HUGE_VALF : 0.0f;
+  }
+  // Beyond double's range too: the exponent's sign decides.
+  const char* exp = std::find_if(first, last, [](char c) {
+    return c == 'e' || c == 'E' || c == 'p' || c == 'P';
+  });
+  return exp + 1 < last && exp[1] == '-' ? 0.0f : HUGE_VALF;
+}
+
+/// Parses one float starting at `first` with the value and extent
+/// std::strtof gives — leading whitespace, an optional sign, decimal or hex
+/// digits, inf and nan — but through std::from_chars, which is faster and
+/// ignores the C locale's decimal point. Returns the end of the number, or
+/// `first` when none starts there. (A NaN payload, as in "nan(7)", is
+/// parsed but not kept.)
+const char* ParseFloat(const char* first, const char* last, float* out) {
+  const char* p = first;
+  // strtof's whitespace in the C locale: ' ' and '\t' through '\r'.
+  while (p < last && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  const bool negative = p < last && *p == '-';
+  if (p < last && (*p == '+' || *p == '-')) ++p;
+  // from_chars takes its own '-'; strtof allows one sign only.
+  if (p < last && (*p == '+' || *p == '-')) return first;
+  float v = 0;
+  std::chars_format fmt = std::chars_format::hex;
+  const char* digits = p;
+  std::from_chars_result r{p, std::errc::invalid_argument};
+  if (last - p > 2 && p[0] == '0' && (p[1] == 'x' || p[1] == 'X') &&
+      p[2] != '-' && p[2] != '+') {
+    digits = p + 2;
+    r = std::from_chars(digits, last, v, fmt);
+  }
+  // Decimal, or "0x" without hex digits, of which strtof reads the "0".
+  if (r.ec == std::errc::invalid_argument) {
+    fmt = std::chars_format::general;
+    digits = p;
+    r = std::from_chars(digits, last, v, fmt);
+    if (r.ec == std::errc::invalid_argument) return first;
+  }
+  if (r.ec == std::errc::result_out_of_range) {
+    v = OutOfRangeValue(digits, r.ptr, fmt);
+  }
+  *out = negative ? -v : v;
+  return r.ptr;
+}
+
 }  // namespace
 
 Result<std::vector<float>> ParseVectorLiteral(const std::string& text) {
@@ -437,14 +490,15 @@ Result<std::vector<float>> ParseVectorLiteral(const std::string& text) {
       ++i;
       break;
     }
-    char* end = nullptr;
-    const float v = std::strtof(text.c_str() + i, &end);
-    if (end == text.c_str() + i) {
+    float v = 0;
+    const char* start = text.data() + i;
+    const char* end = ParseFloat(start, text.data() + n, &v);
+    if (end == start) {
       return Status::InvalidArgument("bad vector literal near '" +
                                      text.substr(i, 8) + "'");
     }
     out.push_back(v);
-    i = static_cast<size_t>(end - text.c_str());
+    i = static_cast<size_t>(end - text.data());
     skip_ws();
     if (i < n && text[i] == ',') {
       ++i;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace vecdb::sql {
 namespace {
 
@@ -205,6 +211,128 @@ TEST(VectorLiteralTest, Malformed) {
   EXPECT_FALSE(ParseVectorLiteral("").ok());
   EXPECT_FALSE(ParseVectorLiteral("a,b").ok());
   EXPECT_FALSE(ParseVectorLiteral("1,2]").ok());
+}
+
+// The strtof-based literal parser ParseVectorLiteral replaced, kept as the
+// oracle for the from_chars parity test below.
+Result<std::vector<float>> StrtofVectorLiteral(const std::string& text) {
+  std::vector<float> out;
+  size_t i = 0;
+  const size_t n = text.size();
+  auto skip_ws = [&] {
+    while (i < n && (text[i] == ' ' || text[i] == '\t')) ++i;
+  };
+  skip_ws();
+  bool bracketed = false;
+  if (i < n && text[i] == '[') {
+    bracketed = true;
+    ++i;
+  }
+  for (;;) {
+    skip_ws();
+    if (i >= n) break;
+    if (bracketed && text[i] == ']') {
+      ++i;
+      break;
+    }
+    char* end = nullptr;
+    const float v = std::strtof(text.c_str() + i, &end);
+    if (end == text.c_str() + i) {
+      return Status::InvalidArgument("bad vector literal near '" +
+                                     text.substr(i, 8) + "'");
+    }
+    out.push_back(v);
+    i = static_cast<size_t>(end - text.c_str());
+    skip_ws();
+    if (i < n && text[i] == ',') {
+      ++i;
+      continue;
+    }
+  }
+  skip_ws();
+  if (i != n) {
+    return Status::InvalidArgument("trailing garbage in vector literal");
+  }
+  if (out.empty()) {
+    return Status::InvalidArgument("empty vector literal");
+  }
+  return out;
+}
+
+/// One random literal element: decimal numbers with and without
+/// exponents (in and out of float range), signs including a leading '+',
+/// zero and negative zero, inf/nan, hex floats, and a few malformed forms.
+std::string RandomElement(std::mt19937& rng) {
+  auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+  auto digits = [&](int max_len) {
+    std::string d;
+    const int len = 1 + pick(max_len);
+    for (int i = 0; i < len; ++i) d += static_cast<char>('0' + pick(10));
+    return d;
+  };
+  static const char* const kSpecial[] = {
+      "0",     "-0",     "+0",      "-0.0",     "inf",    "-inf",
+      "+INF",  "nan",    "-nan",    "Infinity", "1e-45",  "-1.4e-45",
+      "7e-46", "3.4028235e38", "3.4028236e38", "1e39",  "-1e-39",
+      "0x1.8p3", "-0x1p-149", "0x1p200", "0x", "0x-1", "0x.8",
+      "1e",    "1e+",    "5.",      ".5",       ".",      "--1",
+      "+-1",   "abc",    "1..2",    "e5",       "+",      "-"};
+  if (pick(5) == 0) return kSpecial[pick(sizeof(kSpecial) / sizeof(*kSpecial))];
+  std::string e;
+  const int sign = pick(4);
+  if (sign == 1) e += '-';
+  if (sign == 2) e += '+';
+  switch (pick(4)) {
+    case 0: e += digits(9); break;
+    case 1: e += digits(6) + "." + digits(9); break;
+    case 2: e += "." + digits(9); break;
+    default: e += digits(6) + "."; break;
+  }
+  if (pick(2) == 0) {
+    e += pick(2) == 0 ? 'e' : 'E';
+    const int esign = pick(3);
+    if (esign == 1) e += '-';
+    if (esign == 2) e += '+';
+    e += std::to_string(pick(8) == 0 ? pick(400) : pick(50));
+  }
+  return e;
+}
+
+TEST(VectorLiteralTest, FromCharsMatchesStrtofBitForBit) {
+  // Seeded random literals: values must be bit-identical to strtof's, and
+  // rejected literals must fail with the same message.
+  std::mt19937 rng(20240417);
+  // '\n', '\v', '\f' and '\r' are whitespace to strtof but not between
+  // elements, so they parse before a number and fail anywhere else.
+  static const char* const kSpace[] = {"",  "",   " ",  "  ",
+                                       "\t", " \t", "\n", "\v\r\f"};
+  auto space = [&] { return std::string(kSpace[rng() % 8]); };
+  for (int trial = 0; trial < 20000; ++trial) {
+    const bool bracketed = rng() % 2 == 0;
+    std::string text = space() + (bracketed ? "[" : "");
+    const int count = 1 + static_cast<int>(rng() % 8);
+    for (int k = 0; k < count; ++k) {
+      if (k > 0) text += space() + "," + space();
+      text += space() + RandomElement(rng);
+    }
+    text += space() + (bracketed ? "]" : "") + space();
+    const auto want = StrtofVectorLiteral(text);
+    const auto got = ParseVectorLiteral(text);
+    ASSERT_EQ(got.ok(), want.ok()) << "literal: " << text;
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().message(), want.status().message())
+          << "literal: " << text;
+      continue;
+    }
+    ASSERT_EQ(got->size(), want->size()) << "literal: " << text;
+    for (size_t k = 0; k < want->size(); ++k) {
+      uint32_t got_bits, want_bits;
+      std::memcpy(&got_bits, &(*got)[k], sizeof(got_bits));
+      std::memcpy(&want_bits, &(*want)[k], sizeof(want_bits));
+      EXPECT_EQ(got_bits, want_bits)
+          << "element " << k << " of literal: " << text;
+    }
+  }
 }
 
 }  // namespace
